@@ -15,7 +15,7 @@ so they share the materialized matrices (the paper's pre-load setting);
 two extra rows time RelSim through the batch path — once via the
 per-candidate dict implementation (``rank_many_via_scores``, the
 before) and once via the array-native top-k path (``rank_many``:
-``score_rows`` + ``np.argpartition``, the after).
+``score_entries`` + ``np.partition`` sparse top-k, the after).
 
 Expected shape: RelSim is slightly slower than PathSim in both modes but
 within the same order of magnitude ("making RelSim more usable does not

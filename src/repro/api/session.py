@@ -23,8 +23,8 @@ Four levels of API, lowest to highest::
         .top(10)
     )
 
-    # 3. batch path: all queries scored in one sparse row slice,
-    #    ranked with array-native top-k selection (score_rows)
+    # 3. batch path: all queries scored from their sparse row
+    #    entries, ranked with sparse top-k selection (score_entries)
     rankings = session.rank_many(queries, algorithm="relsim",
                                  pattern="p-in.p-in-", top_k=10)
 
@@ -291,8 +291,8 @@ class SimilaritySession:
         :class:`SimilarityAlgorithm` instance.  A thin adapter over
         prepare-then-run: the workload executes exactly like
         ``session.prepare(...).run_many(queries)``, with matrix-backed
-        algorithms scoring all queries from one sparse row slice per
-        pattern (``score_rows``) and ranking through array-native top-k
+        algorithms scoring each query from its sparse row entries per
+        pattern (``score_entries``) and ranking through sparse top-k
         selection.  Results are identical to looping
         ``algorithm.rank(q, top_k)``.
 
@@ -428,8 +428,8 @@ class QueryBuilder:
     def top(self, k=10):
         """The top-``k`` :class:`Ranking` — the usual way to finish.
 
-        Array-native algorithms serve this through ``score_rows`` +
-        ``np.argpartition`` selection, so only ``k`` ``(node, score)``
+        Array-native algorithms serve this through ``score_entries`` +
+        ``np.partition`` selection, so only ``k`` ``(node, score)``
         pairs are ever materialized.
         """
         return self.rank(top_k=k)

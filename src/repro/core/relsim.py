@@ -22,12 +22,11 @@ nodes, hence equally robust.
 import numpy as np
 
 from repro.exceptions import EvaluationError
-from repro.graph.matrices import dense_rows
 from repro.lang.ast import Pattern
 from repro.lang.matrix_semantics import (
     CommutingMatrixEngine,
-    pathsim_columns,
-    pathsim_rows,
+    accumulate_columns,
+    pathsim_entries,
 )
 from repro.lang.parser import parse_pattern
 from repro.similarity.base import SimilarityAlgorithm
@@ -53,6 +52,22 @@ def _as_patterns(patterns):
     if not resolved:
         raise EvaluationError("RelSim needs at least one pattern")
     return resolved
+
+
+def _sum_entries(parts):
+    """Per-pattern ``(columns, values)`` of one row, summed per column.
+
+    ``np.bincount`` adds the weights of each column in input order,
+    starting from 0.0, so every score is accumulated in pattern order —
+    the same float additions a dense per-pattern row sum performs (a
+    pattern with no entry at a column only ever added 0.0 there).
+    """
+    if len(parts) == 1:
+        return parts[0]
+    columns = np.concatenate([part[0] for part in parts])
+    values = np.concatenate([part[1] for part in parts])
+    unique, inverse = np.unique(columns, return_inverse=True)
+    return unique, np.bincount(inverse, weights=values, minlength=len(unique))
 
 
 class RelSim(SimilarityAlgorithm):
@@ -108,14 +123,14 @@ class RelSim(SimilarityAlgorithm):
     def prepare_scoring(self):
         """Pin per-pattern scoring state: matrices, diagonals, norms.
 
-        After this, :meth:`score_rows` runs on immutable local state —
+        After this, :meth:`score_entries` runs on immutable local state —
         no plan compilation, no engine cache probing, no per-call
         ``matrix.diagonal()`` extraction.  When the engine's LRU cap is
         smaller than the pattern set — or its byte ``memory_budget``
         smaller than the set's estimated resident size — pinning every
         matrix at once would defeat the limit, so only the compile pass
         runs and the per-call path is kept (same rule as
-        :meth:`score_rows` warming).
+        :meth:`score_entries` warming).
         """
         if self._prepared_state is not None:
             return self
@@ -126,25 +141,31 @@ class RelSim(SimilarityAlgorithm):
         matrices = self.engine.warm(
             self.patterns, norms=self.scoring == "cosine"
         )
-        state = []
-        for pattern, matrix in zip(self.patterns, matrices):
-            matrix.sum_duplicates()  # dense_rows needs canonical CSR
-            # Engine-cached: shared across algorithms and patched in
-            # place by delta maintenance, so re-pinning after a live
-            # update only recomputes what actually changed.
-            diagonal = (
-                self.engine.diagonal(pattern)
-                if self.scoring == "pathsim"
-                else None
-            )
-            norms = (
-                self.engine.column_norms(pattern)
-                if self.scoring == "cosine"
-                else None
-            )
-            state.append((matrix, diagonal, norms))
-        self._prepared_state = tuple(state)
+        self._prepared_state = tuple(
+            self._pattern_state(pattern, matrix)
+            for pattern, matrix in zip(self.patterns, matrices)
+        )
         return self
+
+    def _pattern_state(self, pattern, matrix):
+        """``(matrix, diagonal, norms)``: what scoring ``pattern`` reads.
+
+        Diagonal and norms are engine-cached: shared across algorithms
+        and patched in place by delta maintenance, so re-pinning after a
+        live update only recomputes what actually changed.
+        """
+        matrix.sum_duplicates()  # row readers need canonical CSR
+        diagonal = (
+            self.engine.diagonal(pattern)
+            if self.scoring == "pathsim"
+            else None
+        )
+        norms = (
+            self.engine.column_norms(pattern)
+            if self.scoring == "cosine"
+            else None
+        )
+        return matrix, diagonal, norms
 
     def delta_rescore(self, query_index, plan_deltas):
         """Targeted rescore of the candidates a delta touched (or None).
@@ -153,7 +174,7 @@ class RelSim(SimilarityAlgorithm):
         through its diagonal, which PathSim denominators) moved; a
         candidate column outside that set provably kept its score.  The
         touched columns are rescored from the pinned state with the
-        same elementwise arithmetic as :meth:`score_rows`, accumulated
+        same row entries as :meth:`score_entries`, accumulated
         in the same pattern order, so the returned scores are bitwise
         comparable with a full re-rank.  Unsupported cases — unpinned
         state, cosine's whole-row norms, a missing plan delta, or a
@@ -186,105 +207,85 @@ class RelSim(SimilarityAlgorithm):
             return np.empty(0, dtype=np.intp), np.zeros(0)
         columns = np.array(sorted(affected), dtype=np.intp)
         scores = np.zeros(len(columns))
-        for matrix, diagonal, _norms in state:
-            if self.scoring == "pathsim":
-                pathsim_columns(matrix, query_index, diagonal, columns, scores)
-                continue
-            # count: the stored row values at the selected columns,
-            # added in pattern order exactly like the dense_rows path.
-            start, end = (
-                matrix.indptr[query_index],
-                matrix.indptr[query_index + 1],
+        for entry in state:
+            accumulate_columns(
+                scores, columns, *self._row_entries(entry, query_index)
             )
-            cols = matrix.indices[start:end]
-            positions = np.searchsorted(columns, cols)
-            inside = positions < len(columns)
-            selected = inside.copy()
-            selected[inside] = columns[positions[inside]] == cols[inside]
-            scores[positions[selected]] += matrix.data[start:end][selected]
         return columns, scores
 
-    def _prepared_pattern_rows(self, entry, indices, out):
-        """Score rows for one pattern from pinned state (no engine).
+    def _row_entries(self, entry, row):
+        """One pattern's ``(columns, scores)`` for one query row.
 
-        PathSim scoring accumulates straight into ``out`` (sparse-row
-        arithmetic, no per-pattern dense block); the other modes return
-        a dense block for the caller to add.
+        Every scoring mode is nonzero only at the row's stored entries,
+        so this reads O(row nnz) values from the pattern's
+        ``(matrix, diagonal, norms)`` state and never an n-wide row.
         """
         matrix, diagonal, norms = entry
         if self.scoring == "pathsim":
-            pathsim_rows(matrix, indices, diagonal, out=out)
-            return None
-        rows = dense_rows(matrix, indices)
+            return pathsim_entries(matrix, row, diagonal)
+        start, end = matrix.indptr[row], matrix.indptr[row + 1]
+        columns = matrix.indices[start:end]
+        values = matrix.data[start:end]
         if self.scoring == "count":
-            return rows
-        # cosine
-        row_norms = np.linalg.norm(rows, axis=1)
-        scores = np.zeros_like(rows)
-        defined = (row_norms[:, None] > 0) & (norms[None, :] > 0)
-        denominator = row_norms[:, None] * norms[None, :]
-        scores[defined] = rows[defined] / denominator[defined]
-        return scores
+            return columns, values
+        # cosine.  Counts are integers, so the sum of squares over the
+        # stored entries is exact: this norm equals the dense row's
+        # np.linalg.norm bitwise.
+        row_norm = np.linalg.norm(values)
+        defined = (norms[columns] > 0) & (row_norm > 0)
+        columns = columns[defined]
+        return columns, values[defined] / (row_norm * norms[columns])
 
-    # ------------------------------------------------------------------
-    def _pattern_rows(self, pattern, queries):
-        """``(len(queries), n)`` score rows for one pattern.
+    def score_entries(self, queries):
+        """Per-query sparse scores: one row read per pattern, summed.
 
-        All three scoring modes reduce to one sparse row slice of the
-        commuting matrix (``matrix[rows, :]``), so a batch of queries
-        costs a single slice per pattern.  Column norms for the cosine
-        mode live on the engine — every algorithm sharing the engine
-        (e.g. through a :class:`~repro.api.SimilaritySession`) reuses
-        them.
-        """
-        if self.scoring == "pathsim":
-            return self.engine.pathsim_scores_from_many(pattern, queries)
-        rows = self.engine.rows_dense(pattern, queries)
-        if self.scoring == "count":
-            return rows
-        # cosine
-        norms = self.engine.column_norms(pattern)
-        row_norms = np.linalg.norm(rows, axis=1)
-        scores = np.zeros_like(rows)
-        defined = (row_norms[:, None] > 0) & (norms[None, :] > 0)
-        denominator = row_norms[:, None] * norms[None, :]
-        scores[defined] = rows[defined] / denominator[defined]
-        return scores
-
-    def score_rows(self, queries):
-        """Batch score rows: one sparse row slice per pattern, summed.
-
-        The whole pattern set is *compiled* first, so the plan compiler
-        sees every pattern before any chain order is chosen and the
-        shared prefixes/sub-chains of an Algorithm-1 expansion are
-        multiplied once and reused (cross-pattern CSE).  When the set
-        fits under the engine's limits (LRU cap and byte budget), the
-        matrices are also warmed through ``matrices_many`` so the
-        per-pattern scoring below is pure cache hits; with limits
-        tighter than the set, warming would defeat them (pin every
-        matrix at once) and be evicted before use, so only the compile
-        pass runs.
+        The prepared hot path reads pinned state only.  Otherwise the
+        whole pattern set is *compiled* first, so the plan compiler sees
+        every pattern before any chain order is chosen and the shared
+        prefixes/sub-chains of an Algorithm-1 expansion are multiplied
+        once and reused (cross-pattern CSE).  When the set fits under
+        the engine's limits (LRU cap and byte budget), the matrices are
+        also warmed through ``matrices_many`` so the per-pattern reads
+        below are pure cache hits; with limits tighter than the set,
+        warming would defeat them (pin every matrix at once) and be
+        evicted before use, so only the compile pass runs and each
+        pattern's matrix is fetched, read and released in turn.
         """
         queries = list(queries)
         indices = self.engine.query_indices(queries)
         state = self._prepared_state
-        total = np.zeros((len(queries), len(self.engine.indexer)))
-        if state is not None:
-            # Prepared hot path: every matrix/diagonal/norm is pinned,
-            # so a call is pure slicing and arithmetic.
-            for entry in state:
-                block = self._prepared_pattern_rows(entry, indices, total)
-                if block is not None:
-                    total += block
-            return indices, total
-        if self.engine.warm_exceeds_limits(self.patterns):
-            for pattern in self.patterns:
-                self.engine.compile(pattern)
-        else:
-            self.engine.matrices_many(self.patterns)
-        for pattern in self.patterns:
-            total += self._pattern_rows(pattern, queries)
-        return indices, total
+        copy = state is None
+        if copy:
+            if self.engine.warm_exceeds_limits(self.patterns):
+                for pattern in self.patterns:
+                    self.engine.compile(pattern)
+            else:
+                self.engine.matrices_many(self.patterns)
+            state = (
+                self._pattern_state(pattern, self.engine.matrix(pattern))
+                for pattern in self.patterns
+            )
+        parts = [[] for _ in indices]
+        for entry in state:
+            for row, part in zip(indices, parts):
+                columns, values = self._row_entries(entry, row)
+                if copy:
+                    # Slices would keep an evicted matrix's buffers
+                    # alive past the engine's byte budget.
+                    columns, values = columns.copy(), values.copy()
+                part.append((columns, values))
+        return indices, [_sum_entries(part) for part in parts]
+
+    def score_rows(self, queries):
+        """Dense ``(len(queries), n)`` rows scattered from the entries.
+
+        The dict APIs' adapter; ranking reads :meth:`score_entries`.
+        """
+        indices, entries = self.score_entries(queries)
+        rows = np.zeros((len(indices), len(self.engine.indexer)))
+        for row, (columns, values) in zip(rows, entries):
+            row[columns] = values
+        return indices, rows
 
     # ------------------------------------------------------------------
     @classmethod

@@ -15,9 +15,9 @@ factories receive the session instead — every algorithm on a variant
 then shares that variant's materialized matrices, which is the hot-path
 saving: robustness runs stop rebuilding identical matrices per
 algorithm.  Query workloads are scored through the batch path
-(``rank_many``), one sparse row slice per pattern instead of one
-extraction per query, finished with the array-native top-k selection
-(``score_rows`` + ``np.argpartition``) rather than per-candidate dicts.
+(``rank_many``), finished with the sparse top-k selection over each
+query's score entries (``score_entries`` + ``np.partition``) rather
+than per-candidate dicts.
 """
 
 import time

@@ -348,9 +348,7 @@ class MatrixView:
 
         ``nodes`` lists the eligible answer nodes sorted by ``str`` (the
         :class:`~repro.similarity.base.Ranking` tie-break order) and
-        ``columns`` holds their indexer positions as one ``intp`` array,
-        so candidate filtering in the array-native scoring path is a
-        single fancy-index slice instead of a per-node dict loop.
+        ``columns`` holds their indexer positions as one ``intp`` array.
         ``node_type`` is the resolved answer type of a query — ``None``
         means every node (untyped queries).
 
@@ -364,12 +362,26 @@ class MatrixView:
         retyping an existing node — follow the view's general snapshot
         rule: build a fresh view after mutating.
         """
+        return self._candidate_entry(node_type)[0]
+
+    def candidate_ranks(self, node_type=None):
+        """Cached ``(nodes, rank_of)`` column-to-rank lookup for a type.
+
+        The sparse top-k's candidate filter: ``rank_of[j]`` is the
+        position of column ``j``'s node in ``nodes`` (the ``str``-sorted
+        list :meth:`candidate_index` returns), or -1 when that node is
+        not a candidate, so filtering score entries is one gather.
+        """
+        return self._candidate_entry(node_type)[1]
+
+    def _candidate_entry(self, node_type):
         with self._lock:
             if self._database.num_nodes() != self._candidate_node_count:
                 self._candidates.clear()
                 self._candidate_node_count = self._database.num_nodes()
             key = ("type", node_type) if node_type is not None else ("all",)
             cached = self._candidates.get(key)
+            n = len(self._indexer)
             if cached is None:
                 if node_type is None:
                     eligible = list(self._database.nodes())
@@ -380,7 +392,18 @@ class MatrixView:
                     [self._indexer.index_of(node) for node in eligible],
                     dtype=np.intp,
                 )
-                cached = (eligible, columns)
+                rank_of = np.full(n, -1, dtype=np.intp)
+                rank_of[columns] = np.arange(len(columns))
+                cached = ((eligible, columns), (eligible, rank_of))
+                self._candidates[key] = cached
+            elif len(cached[1][1]) < n:
+                # A node-adding delta grew the indexer after this entry
+                # was cached and kept it (no new node has this type):
+                # the appended columns are non-candidates.
+                nodes, rank_of = cached[1]
+                grown = np.full(n, -1, dtype=np.intp)
+                grown[: len(rank_of)] = rank_of
+                cached = (cached[0], (nodes, grown))
                 self._candidates[key] = cached
         return cached
 

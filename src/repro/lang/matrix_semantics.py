@@ -49,7 +49,6 @@ from repro.exceptions import (
 from repro.graph.matrices import (
     MatrixView,
     boolean,
-    dense_rows,
     diagonal_of,
     identity_patch,
     resized,
@@ -118,73 +117,46 @@ def _star_sum(identity, base, max_depth, origin):
     return total.tocsr()
 
 
-def pathsim_rows(matrix, indices, diagonal=None, out=None):
-    """PathSim score rows for the given indexer ``indices``.
+def pathsim_entries(matrix, row, diagonal):
+    """PathSim scores of one query row as sparse ``(columns, scores)``.
 
-    ``scores[i, v] = 2 M[indices[i], v] / (M[indices[i], indices[i]] +
-    M[v, v])`` with 0 where the denominator vanishes — Equation 1 over
-    one sparse row slice.  A score can only be nonzero where the row
-    itself is, so the arithmetic touches each row's stored entries
-    instead of all ``n`` columns (the serving hot path runs this per
-    pattern per request).  Pass a precomputed ``diagonal`` to skip
-    re-extracting it on every call; ``matrix`` must be canonical CSR.
-
-    With ``out`` (a ``(len(indices), n)`` float array), scores are
-    *added* into it and ``out`` is returned — the accumulator form
-    RelSim uses to sum a 16-pattern expansion without allocating a
-    dense block per pattern.
-    """
-    if diagonal is None:
-        diagonal = matrix.diagonal()
-    scores = out
-    if scores is None:
-        scores = np.zeros((len(indices), matrix.shape[1]))
-    indptr, columns, data = matrix.indptr, matrix.indices, matrix.data
-    for i, row in enumerate(indices):
-        start, end = indptr[row], indptr[row + 1]
-        cols = columns[start:end]
-        denominator = diagonal[row] + diagonal[cols]
-        positive = denominator > 0
-        if not positive.all():
-            cols = cols[positive]
-            denominator = denominator[positive]
-            values = data[start:end][positive]
-        else:
-            values = data[start:end]
-        scores[i, cols] += 2.0 * values / denominator
-    return scores
-
-
-def pathsim_columns(matrix, row, diagonal, columns, out):
-    """Add one row's PathSim contributions at selected ``columns`` only.
-
-    The column-restricted form of :func:`pathsim_rows`, used by
-    standing-query maintenance to rescore just the candidates a delta
-    touched.  ``columns`` must be a sorted index array and ``out`` a
-    parallel accumulator.  Every arithmetic step is the same elementwise
-    operation :func:`pathsim_rows` performs on the full stored row
-    (``2.0 * value / (diag[row] + diag[col])`` over stored entries with
-    a positive denominator), so the accumulated scores are bitwise
-    identical to the corresponding slots of a full scoring pass.
+    ``scores[j] = 2 M[row, c] / (M[row, row] + M[c, c])`` with
+    ``c = columns[j]`` — Equation 1 over the row's stored entries,
+    skipping columns whose denominator vanishes.  A score can only be
+    nonzero where the row itself is, so this is the whole row's answer
+    set in O(row nnz) instead of O(n).  ``matrix`` must be canonical
+    CSR (sorted, deduplicated), so ``columns`` comes back ascending;
+    ``diagonal`` is the matrix diagonal (engine-cached, or pinned by
+    prepared state).  This is the single source of PathSim arithmetic:
+    ranking, the dense adapters and delta rescoring all read these
+    values.
     """
     start, end = matrix.indptr[row], matrix.indptr[row + 1]
-    cols = matrix.indices[start:end]
-    positions = np.searchsorted(columns, cols)
-    inside = positions < len(columns)
-    selected = inside.copy()
-    selected[inside] = columns[positions[inside]] == cols[inside]
-    if not selected.any():
-        return out
-    cols = cols[selected]
-    values = matrix.data[start:end][selected]
-    positions = positions[selected]
-    denominator = diagonal[row] + diagonal[cols]
+    columns = matrix.indices[start:end]
+    values = matrix.data[start:end]
+    denominator = diagonal[row] + diagonal[columns]
     positive = denominator > 0
-    if not positive.all():
-        positions = positions[positive]
+    if np.count_nonzero(positive) < len(positive):
+        columns = columns[positive]
         values = values[positive]
         denominator = denominator[positive]
-    out[positions] += 2.0 * values / denominator
+    return columns, 2.0 * values / denominator
+
+
+def accumulate_columns(out, columns, entry_columns, entry_values):
+    """Add sparse row entries into ``out`` at the selected ``columns`` only.
+
+    ``columns`` is a sorted index array and ``out`` its parallel
+    accumulator; entries at columns outside the selection are ignored.
+    Standing-query maintenance uses this to rescore just the candidates
+    a delta touched: adding the same entry values in the same pattern
+    order as the ranking path keeps the sums bitwise identical.
+    """
+    positions = np.searchsorted(columns, entry_columns)
+    inside = positions < len(columns)
+    selected = inside.copy()
+    selected[inside] = columns[positions[inside]] == entry_columns[inside]
+    out[positions[selected]] += entry_values[selected]
     return out
 
 
@@ -1055,7 +1027,8 @@ class CommutingMatrixEngine:
     @staticmethod
     def _canonicalize(matrix):
         # Published matrices are canonical CSR with no explicit zeros:
-        # dense_rows/pathsim_rows need sorted deduplicated buffers, and
+        # row readers (dense_rows, pathsim_entries) need sorted
+        # deduplicated buffers, and
         # delta maintenance relies on a patched entry being structurally
         # identical to a fresh rebuild (sparse matmul emits unsorted
         # indices, so products must be normalized before caching).
@@ -1728,31 +1701,14 @@ class CommutingMatrixEngine:
     def pathsim_scores_from(self, pattern, u):
         """PathSim scores from ``u`` to every node, as a dense vector.
 
-        Vectorized version of :meth:`pathsim_score` used by the ranking
-        algorithms: one sparse row extraction plus the diagonal.
+        Vectorized version of :meth:`pathsim_score`: the row's
+        :func:`pathsim_entries` scattered over the node indexer.
         """
-        return self.pathsim_scores_from_many(pattern, [u])[0]
-
-    def rows_dense(self, pattern, nodes):
-        """``M_pattern[rows, :]`` as a dense ``(len(nodes), n)`` array.
-
-        The batch-query primitive: one sparse row slice replaces
-        per-query row extraction, so a workload of ``q`` queries costs a
-        single ``matrix[rows, :]`` per pattern.
-        """
-        matrix = self.matrix(pattern)
-        return dense_rows(matrix, self.query_indices(nodes))
-
-    def pathsim_scores_from_many(self, pattern, nodes):
-        """PathSim score rows for several queries at once.
-
-        Returns a dense ``(len(nodes), n)`` array whose row ``i`` equals
-        :meth:`pathsim_scores_from` for ``nodes[i]`` — computed from one
-        sparse row slice plus the engine-cached diagonal instead of
-        per-query extraction.
-        """
-        return pathsim_rows(
+        columns, scores = pathsim_entries(
             self.matrix(pattern),
-            self.query_indices(nodes),
+            self.indexer.index_of(u),
             self.diagonal(pattern),
         )
+        vector = np.zeros(len(self.indexer))
+        vector[columns] = scores
+        return vector

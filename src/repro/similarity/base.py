@@ -20,18 +20,30 @@ algorithms that only need adjacency matrices reuse the engine's
 
 Array-native scoring
 --------------------
-Matrix-backed algorithms additionally implement :meth:`score_rows`,
-which returns raw score *rows* (one dense vector of scores over the node
-indexer per query) instead of per-candidate dicts.  ``rank`` and
-``rank_many`` then stay inside NumPy end-to-end: candidate filtering is
-one fancy-index slice over the view's cached per-type candidate index
-(:meth:`~repro.graph.matrices.MatrixView.candidate_index`), and top-k
-selection uses ``np.argpartition``-style selection so only the ``k``
-winners are ever materialized as ``(node, score)`` pairs.  The dict
-APIs (``scores``/``scores_many``) become thin adapters over
-:meth:`score_rows` and remain contractually identical; the previous
-dict-based ranking path is kept as :meth:`rank_many_via_scores` for
-equivalence testing and benchmarking.
+Matrix-backed algorithms additionally rank through sparse score
+*entries*: :meth:`~SimilarityAlgorithm.score_entries` returns, per
+query, the ``(columns, values)`` of its nonzero scores over the node
+indexer.  Zero-score candidates are never answers, so ``rank`` and
+``rank_many`` need nothing else: they filter the entries by candidate
+type through the view's cached column-to-``str``-rank lookup
+(:meth:`~repro.graph.matrices.MatrixView.candidate_ranks`), mask the
+query out, drop non-positive values and run an ``np.partition`` top-k
+whose boundary ties are broken by that ``str`` rank — work
+proportional to a row's nonzeros, never to ``n``, and only the ``k``
+winners are ever materialized as ``(node, score)`` pairs.
+
+RelSim (all three scoring modes) and PathSim are *sparse-native*: they
+read each query's stored commuting-matrix row entries directly, summing
+per-pattern values in pattern order so every score is bitwise equal to
+the dense row sum.  The other algorithms (RWR, pattern-constrained RWR,
+SimRank, HeteSim, Katz, common neighbors) keep dense
+:meth:`~SimilarityAlgorithm.score_rows` — one ``n``-wide vector per
+query — and inherit a ``score_entries`` that keeps each row's positive
+columns.  The dict APIs (``scores``/``scores_many``) are thin adapters
+over :meth:`~SimilarityAlgorithm.score_rows`, which RelSim and PathSim
+keep as dense adapters scattering their entries; the dict-based
+ranking path is kept as :meth:`rank_many_via_scores` for equivalence
+testing and benchmarking.
 
 Candidates absent from the algorithm's snapshot indexer raise
 :class:`~repro.exceptions.UnknownNodeError` uniformly — scoring a node
@@ -148,11 +160,12 @@ class SimilarityAlgorithm:
     #: Human-readable name used in experiment reports.
     name = "base"
 
-    #: Queries per ``score_rows``/``scores_many`` call inside
-    #: ``rank_many``.  Batch implementations densify a
-    #: (queries x nodes) block, so an unchunked million-query workload
-    #: would allocate workload-sized dense arrays; per-row scores are
-    #: independent, so chunking changes nothing but peak memory.
+    #: Queries per ``score_entries``/``scores_many`` call inside
+    #: ``rank_many``.  Dense-row algorithms build a (queries x nodes)
+    #: block and sparse-native ones hold every query's entries until
+    #: ranked, so an unchunked million-query workload would allocate
+    #: workload-sized arrays; per-row scores are independent, so
+    #: chunking changes nothing but peak memory.
     batch_chunk_size = 512
 
     #: True when rankings are a pure function of the commuting/adjacency
@@ -176,7 +189,7 @@ class SimilarityAlgorithm:
     def __init__(self, database, answer_type=None):
         self._database = database
         self._answer_type = answer_type
-        #: The MatrixView backing :meth:`score_rows`; array-native
+        #: The MatrixView backing the array-native path; array-native
         #: subclasses assign it at construction.
         self._view = None
         #: Reusable precomputed scoring state pinned by
@@ -221,7 +234,7 @@ class SimilarityAlgorithm:
         index array of every candidate column whose score for
         ``query_index`` could differ from the pre-delta snapshot,
         paired with those candidates' *new* scores — computed with the
-        exact same float operations as :meth:`score_rows`, so the
+        exact same float operations as :meth:`score_entries`, so the
         values are bitwise comparable against a full re-rank.  Return
         ``None`` when a targeted rescore cannot be trusted for this
         delta (missing plan delta, unpinned state, non-entry-local
@@ -260,10 +273,12 @@ class SimilarityAlgorithm:
         ``rows`` is a dense ``(len(queries), n)`` float array in which
         column ``j`` scores node ``indexer.node_at(j)``; row ``i``
         corresponds to ``queries[i]`` and ``query_indices[i]`` is that
-        query's indexer position (used to mask the query out of its own
-        candidate row).  Rows cover *all* nodes — candidate filtering
-        happens in :meth:`rank_many` via the view's cached candidate
-        index, so implementations stay a pure matrix slice.
+        query's indexer position.  Rows cover *all* nodes — candidate
+        filtering happens downstream, so implementations stay a pure
+        matrix slice.  Ranking reads :meth:`score_entries`, whose
+        default keeps each row's positive columns; sparse-native
+        algorithms override that and keep this only as the dense
+        adapter behind the dict APIs.
 
         Matrix-backed algorithms implement this; algorithms without a
         vectorizable representation leave it unimplemented and the
@@ -276,15 +291,35 @@ class SimilarityAlgorithm:
             )
         )
 
+    def score_entries(self, queries):
+        """Batch scores as ``(query_indices, entries)``, sparse per query.
+
+        ``entries[i]`` is a ``(columns, values)`` pair of parallel arrays
+        holding every column where ``queries[i]``'s score is positive
+        (it may hold more: non-positive values and non-candidates are
+        filtered by the ranking).  Columns need not be sorted but must
+        be unique.  The default derives the entries from
+        :meth:`score_rows`; sparse-native algorithms override it to
+        skip the ``n``-wide row entirely.
+        """
+        indices, rows = self.score_rows(queries)
+        entries = []
+        for row in rows:
+            columns = np.flatnonzero(row > 0)
+            entries.append((columns, row[columns]))
+        return indices, entries
+
     def _array_native(self):
         return type(self).score_rows is not SimilarityAlgorithm.score_rows
 
+    def _answer_type_of(self, query):
+        if self._answer_type is not None:
+            return self._answer_type
+        return self._database.node_type(query)
+
     def _candidate_arrays(self, query):
         """The cached ``(nodes, columns)`` candidate index for ``query``."""
-        answer_type = self._answer_type
-        if answer_type is None:
-            answer_type = self._database.node_type(query)
-        return self._view.candidate_index(answer_type)
+        return self._view.candidate_index(self._answer_type_of(query))
 
     # ------------------------------------------------------------------
     # Dict APIs (thin adapters over score_rows when available)
@@ -339,35 +374,37 @@ class SimilarityAlgorithm:
             return ranking
         return Ranking(ranking.items(top_k))
 
-    def _ranking_from_row(self, query, row, query_index, top_k):
-        """Array-native top-k: select winners before materializing pairs.
+    def _top_k(self, query, query_index, columns, values, top_k):
+        """Sparse top-k over one query's score entries.
 
-        Zero-score candidates are dropped (same contract as the dict
-        path) and the query is masked out of its own row.  With a
-        ``top_k``, an ``np.partition`` of the candidate scores finds the
-        boundary value; everything strictly above it is in, and ties at
-        the boundary are filled in ascending ``str(node)`` order — the
-        candidate index is pre-sorted by ``str``, so this reproduces the
-        dict path's deterministic tie-break exactly.
+        Entries outside the query's candidate set, the query itself and
+        non-positive scores are dropped (same contract as the dict
+        path).  With a ``top_k``, an ``np.partition`` of the surviving
+        scores finds the boundary value; everything strictly above it is
+        in, and ties at the boundary are filled in ascending ``str(node)``
+        rank — the dict path's deterministic tie-break, read from the
+        view's cached column-to-rank lookup.
         """
-        nodes, columns = self._candidate_arrays(query)
-        scores = row[columns]
-        valid = (scores > 0) & (columns != query_index)
-        positions = np.flatnonzero(valid)
-        if top_k is not None and top_k <= 0:
-            positions = positions[:0]
-        elif top_k is not None and len(positions) > top_k:
-            candidate_scores = scores[positions]
-            boundary = np.partition(
-                candidate_scores, len(positions) - top_k
-            )[len(positions) - top_k]
-            above = positions[candidate_scores > boundary]
-            at_boundary = positions[candidate_scores == boundary]
-            positions = np.concatenate(
-                (above, at_boundary[: top_k - len(above)])
-            )
+        nodes, rank_of = self._view.candidate_ranks(
+            self._answer_type_of(query)
+        )
+        if (top_k is not None and top_k <= 0) or not nodes:
+            return Ranking(())
+        ranks = rank_of[columns]
+        keep = (ranks >= 0) & (columns != query_index) & (values > 0)
+        ranks = ranks[keep]
+        values = values[keep]
+        if top_k is not None and len(values) > top_k:
+            cut = len(values) - top_k
+            boundary = np.partition(values, cut)[cut]
+            above = np.flatnonzero(values > boundary)
+            tied = np.flatnonzero(values == boundary)
+            tied = tied[np.argsort(ranks[tied])]
+            chosen = np.concatenate((above, tied[: top_k - len(above)]))
+            ranks, values = ranks[chosen], values[chosen]
+        order = np.argsort(ranks)
         return Ranking.from_arrays(
-            [nodes[position] for position in positions], scores[positions]
+            [nodes[rank] for rank in ranks[order]], values[order]
         )
 
     def rank(self, query, top_k=None):
@@ -386,8 +423,8 @@ class SimilarityAlgorithm:
         """``{query: Ranking}`` for a batch of queries.
 
         Array-native algorithms score each chunk with one
-        :meth:`score_rows` call and finish with vectorized top-k
-        selection; the rest go through :meth:`rank_many_via_scores`.
+        :meth:`score_entries` call and finish with a sparse top-k per
+        query; the rest go through :meth:`rank_many_via_scores`.
         Queries are processed in chunks of :attr:`batch_chunk_size` so
         the vectorized implementations keep bounded peak memory on
         arbitrarily large workloads.  Results are contractually
@@ -400,10 +437,12 @@ class SimilarityAlgorithm:
         rankings = {}
         for start in range(0, len(queries), size):
             chunk = queries[start:start + size]
-            indices, rows = self.score_rows(chunk)
-            for i, query in enumerate(chunk):
-                rankings[query] = self._ranking_from_row(
-                    query, rows[i], indices[i], top_k
+            indices, entries = self.score_entries(chunk)
+            for query, query_index, (columns, values) in zip(
+                chunk, indices, entries
+            ):
+                rankings[query] = self._top_k(
+                    query, query_index, columns, values, top_k
                 )
         return rankings
 

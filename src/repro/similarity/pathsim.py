@@ -17,8 +17,8 @@ from repro.exceptions import AsymmetricPatternError
 from repro.lang.ast import Pattern, simple_steps
 from repro.lang.matrix_semantics import (
     CommutingMatrixEngine,
-    pathsim_columns,
-    pathsim_rows,
+    accumulate_columns,
+    pathsim_entries,
 )
 from repro.lang.parser import parse_pattern
 from repro.similarity.base import SimilarityAlgorithm
@@ -98,7 +98,7 @@ class PathSim(SimilarityAlgorithm):
         """
         if self._prepared_state is None:
             matrix = self.engine.matrix(self.pattern)
-            matrix.sum_duplicates()  # dense_rows needs canonical CSR
+            matrix.sum_duplicates()  # pathsim_entries needs canonical CSR
             self._prepared_state = (matrix, self.engine.diagonal(self.pattern))
         return self
 
@@ -128,19 +128,35 @@ class PathSim(SimilarityAlgorithm):
             return np.empty(0, dtype=np.intp), np.zeros(0)
         columns = np.array(sorted(affected), dtype=np.intp)
         matrix, diagonal = state
-        scores = pathsim_columns(
-            matrix, query_index, diagonal, columns, np.zeros(len(columns))
+        scores = accumulate_columns(
+            np.zeros(len(columns)),
+            columns,
+            *pathsim_entries(matrix, query_index, diagonal),
         )
         return columns, scores
 
-    def score_rows(self, queries):
-        """Batch score rows from one sparse slice of the commuting matrix."""
+    def score_entries(self, queries):
+        """Per-query sparse scores: each row's :func:`pathsim_entries`."""
         queries = list(queries)
         indices = self.engine.query_indices(queries)
         state = self._prepared_state
-        if state is not None:
-            matrix, diagonal = state
-            return indices, pathsim_rows(matrix, indices, diagonal)
-        return indices, self.engine.pathsim_scores_from_many(
-            self.pattern, queries
-        )
+        if state is None:
+            state = (
+                self.engine.matrix(self.pattern),
+                self.engine.diagonal(self.pattern),
+            )
+        matrix, diagonal = state
+        return indices, [
+            pathsim_entries(matrix, row, diagonal) for row in indices
+        ]
+
+    def score_rows(self, queries):
+        """Dense ``(len(queries), n)`` rows scattered from the entries.
+
+        The dict APIs' adapter; ranking reads :meth:`score_entries`.
+        """
+        indices, entries = self.score_entries(queries)
+        rows = np.zeros((len(indices), len(self.engine.indexer)))
+        for row, (columns, values) in zip(rows, entries):
+            row[columns] = values
+        return indices, rows

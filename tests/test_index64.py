@@ -2,7 +2,7 @@
 
 SciPy builds CSR matrices with int32 indices while nnz fits, and
 upcasts to int64 past 2^31 entries.  The engine's direct buffer readers
-(``dense_rows``, ``pathsim_rows``, the ``_fast_csr`` constructor) and
+(``dense_rows``, ``pathsim_entries``, the ``_fast_csr`` constructor) and
 the snapshot warm-start path must therefore be dtype-agnostic: the same
 graph served through int64-index matrices has to produce bitwise
 identical rankings.  (The linter's ``int32-index`` rule bans the
@@ -18,7 +18,7 @@ from repro.datasets import generate_dblp
 from repro.graph.matrices import dense_rows
 from repro.lang.matrix_semantics import (
     CommutingMatrixEngine,
-    pathsim_rows,
+    pathsim_entries,
 )
 
 TOP_K = 10
@@ -67,15 +67,20 @@ def test_dense_rows_is_index_dtype_agnostic():
     )
 
 
-def test_pathsim_rows_is_index_dtype_agnostic():
+def test_pathsim_entries_is_index_dtype_agnostic():
     matrix = _example_matrix()
     matrix = matrix + matrix.T  # pathsim wants a symmetric matrix
     matrix = matrix.tocsr()
     upcast = _upcast(matrix)
-    indices = np.array([1, 5, 17])
-    assert np.array_equal(
-        pathsim_rows(matrix, indices), pathsim_rows(upcast, indices)
-    )
+    diagonal = matrix.diagonal()
+    scored = 0
+    for row in range(matrix.shape[0]):
+        columns, scores = pathsim_entries(matrix, row, diagonal)
+        upcast_columns, upcast_scores = pathsim_entries(upcast, row, diagonal)
+        assert np.array_equal(columns, upcast_columns)
+        assert np.array_equal(scores, upcast_scores)
+        scored += len(scores)
+    assert scored > 0
 
 
 def _rankings(session, queries):

@@ -88,11 +88,10 @@ DENSE_WHITELIST = {
         "k x n output rows for a query batch (k = batch size)",
     ("repro/similarity/neighborhood.py", "Katz.score_rows"):
         "k x n output rows for a query batch (k = batch size)",
-    ("repro/lang/matrix_semantics.py", "pathsim_rows"):
-        "k x n score block filled by direct CSR buffer reads; k is the "
-        "query-batch size",
     ("repro/core/relsim.py", "RelSim.score_rows"):
-        "k x n accumulator summed across the prepared patterns",
+        "dense adapter for dict APIs, off the ranking path",
+    ("repro/similarity/pathsim.py", "PathSim.score_rows"):
+        "dense adapter for dict APIs, off the ranking path",
 }
 
 #: The only site allowed to call ``SharedMemory(create=True)``, keyed
