@@ -52,6 +52,12 @@ from repro.server.protocol import HttpError
 #: payloads are node ids and edge triples, never megabytes.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Seconds a client gets to deliver a header block or a declared body.
+#: A stalled header read (including an idle keep-alive connection)
+#: closes the connection; a stalled body gets 408 and then a close, so
+#: a slow client cannot pin a connection task forever.
+READ_TIMEOUT = 30.0
+
 #: Flush threshold for response writes.  Responses are written without
 #: awaiting ``drain()`` (the per-response coroutine hop costs more than
 #: the entire canned write on the hot path); the transport buffers, and
@@ -107,14 +113,6 @@ class ReproServer:
         connection and a live subscription); excess gets 503.
     threads:
         Worker threads for similarity execution.
-    workers:
-        Process workers (default 0 = execute in-process on ``threads``).
-        With ``N > 0`` the server publishes each snapshot into shared
-        memory and dispatches ``/query``/``/rank_many`` to a
-        :class:`~repro.server.workers.WorkerPool` of ``N`` spawned
-        interpreters — GIL-free parallelism with bitwise-identical
-        results.  Live updates still go through the service in this
-        process; every publication migrates the workers atomically.
     snapshot_path:
         When set, the service checkpoints to this file after every
         successful apply/swap (atomic replace).
@@ -132,7 +130,6 @@ class ReproServer:
         max_inflight=64,
         max_subscribers=32,
         threads=4,
-        workers=0,
         snapshot_path=None,
     ):
         if max_inflight < 1:
@@ -142,10 +139,6 @@ class ReproServer:
         if max_subscribers < 0:
             raise ConfigurationError(
                 "max_subscribers must be >= 0, got {}".format(max_subscribers)
-            )
-        if workers < 0:
-            raise ConfigurationError(
-                "workers must be >= 0, got {}".format(workers)
             )
         self.service = service
         self.prepared = prepared
@@ -158,15 +151,8 @@ class ReproServer:
         self._max_inflight = max_inflight
         self._max_subscribers = max_subscribers
         self._sse_active = 0
-        self._workers = workers
-        self._pool = None
-        self._unregister_publish = None
         self._executor = concurrent.futures.ThreadPoolExecutor(
-            # Every blocked pool dispatch occupies a thread, so the
-            # executor must never have fewer threads than workers or
-            # the pool idles behind the thread pool it feeds.
-            max_workers=max(threads, workers),
-            thread_name_prefix="repro-serve",
+            max_workers=threads, thread_name_prefix="repro-serve"
         )
         self._batcher = None  # built on the serving loop
         self._loop = None
@@ -202,24 +188,9 @@ class ReproServer:
         """
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
-        if self._workers and self._pool is None:
-            # Boot the process pool before accepting connections: spawn
-            # + zero-copy attach happen once, off the serving path, and
-            # a pool that cannot boot fails startup loudly.
-            from repro.server.workers import WorkerPool
-
-            self._pool = WorkerPool(
-                self.prepared.export_spec(),
-                self.service.session,
-                version=self.service.version,
-                workers=self._workers,
-            )
-            self._unregister_publish = self.service.on_publish(
-                self._pool.publish
-            )
         if self._coalesce:
             self._batcher = CoalescingBatcher(
-                self._query_target,
+                self.prepared,
                 window=self._coalesce_window,
                 max_batch=self._max_batch,
                 executor=self._executor,
@@ -244,16 +215,7 @@ class ReproServer:
                 await asyncio.gather(
                     *self._connections, return_exceptions=True
                 )
-            # Drain order matters: the executor finishes in-flight
-            # dispatches (which may be blocked on worker answers), and
-            # only then do the workers stop and their segments unlink.
             self._executor.shutdown(wait=True)
-            if self._unregister_publish is not None:
-                self._unregister_publish()
-                self._unregister_publish = None
-            if self._pool is not None:
-                self._pool.shutdown()
-                self._pool = None
 
     def serve_forever(self):
         """Run the server on a fresh loop until SIGTERM/SIGINT.
@@ -317,10 +279,15 @@ class ReproServer:
 
         The whole header block is read with a single ``readuntil`` —
         per-line reads cost one event-loop hop each, and on the hot
-        path the loop thread *is* the throughput budget.
+        path the loop thread *is* the throughput budget.  Both the
+        header block and the body must arrive within ``READ_TIMEOUT``.
         """
         try:
-            block = await reader.readuntil(b"\r\n\r\n")
+            block = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), READ_TIMEOUT
+            )
+        except asyncio.TimeoutError:
+            return False
         except asyncio.IncompleteReadError as error:
             if error.partial:
                 await self._respond(
@@ -370,7 +337,24 @@ class ReproServer:
                 False,
             )
             return False
-        body = await reader.readexactly(length) if length else b""
+        body = b""
+        if length:
+            try:
+                body = await asyncio.wait_for(
+                    reader.readexactly(length), READ_TIMEOUT
+                )
+            except asyncio.TimeoutError:
+                await self._respond(
+                    writer,
+                    408,
+                    {
+                        "error": "request body not received within "
+                        "{} s".format(READ_TIMEOUT)
+                    },
+                    {},
+                    False,
+                )
+                return False
         keep_alive = (
             http_version == "HTTP/1.1" and connection != "close"
         )
@@ -463,11 +447,6 @@ class ReproServer:
             self._executor, partial(func, *args, **kwargs)
         )
 
-    @property
-    def _query_target(self):
-        """Who executes ``/query``/``/rank_many``: the pool, else in-process."""
-        return self._pool if self._pool is not None else self.prepared
-
     def _requested_top_k(self, payload):
         # Three-valued: absent -> the prepared default; present and
         # null -> explicitly the full ranking; present -> that cutoff.
@@ -481,10 +460,10 @@ class ReproServer:
         if self._batcher is not None:
             ranking = await self._batcher.submit(node, top_k)
         elif top_k is PREPARED_DEFAULT:
-            ranking = await self._run_blocking(self._query_target.run, node)
+            ranking = await self._run_blocking(self.prepared.run, node)
         else:
             ranking = await self._run_blocking(
-                self._query_target.run, node, top_k=top_k
+                self.prepared.run, node, top_k=top_k
             )
         return {
             "node": node,
@@ -498,12 +477,10 @@ class ReproServer:
             raise HttpError(400, "field 'nodes' must not be empty")
         top_k = self._requested_top_k(payload)
         if top_k is PREPARED_DEFAULT:
-            rankings = await self._run_blocking(
-                self._query_target.run_many, nodes
-            )
+            rankings = await self._run_blocking(self.prepared.run_many, nodes)
         else:
             rankings = await self._run_blocking(
-                self._query_target.run_many, nodes, top_k=top_k
+                self.prepared.run_many, nodes, top_k=top_k
             )
         return {
             "version": self.service.version,
@@ -657,15 +634,6 @@ class ReproServer:
             stats["queued"] = self._batcher.queued
             stats["coalesce_window"] = self._coalesce_window
             stats["batcher"] = self._batcher.stats()
-        if self._pool is not None:
-            workers = self._pool.stats()
-            stats["workers"] = {
-                "count": len(workers),
-                "published_version": self._pool.version,
-                "completed": sum(entry["completed"] for entry in workers),
-                "pending": sum(entry["pending"] for entry in workers),
-                "per_worker": workers,
-            }
         return stats
 
 

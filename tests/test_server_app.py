@@ -17,6 +17,7 @@ import pytest
 
 from repro.api import SimilarityService
 from repro.server import BackgroundServer, load_service
+from repro.server import app as server_app
 from repro.server.app import MAX_BODY_BYTES, ReproServer
 
 PATTERN = "r-a-.p-in.p-in-.r-a"
@@ -190,6 +191,61 @@ def test_non_http_bytes_get_a_400_not_a_hang(serving):
     with socket.create_connection(address, timeout=30) as raw:
         raw.sendall(b"NOT-HTTP\r\n\r\n")
         assert raw.recv(64).startswith(b"HTTP/1.1 400")
+
+
+def _read_until_closed(raw):
+    chunks = []
+    while True:
+        chunk = raw.recv(4096)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def test_stalled_header_block_is_dropped(serving, monkeypatch):
+    monkeypatch.setattr(server_app, "READ_TIMEOUT", 0.2)
+    _, _, address = serving
+    with socket.create_connection(address, timeout=10) as raw:
+        raw.sendall(b"POST /query HTTP/1.1\r\nContent-Le")
+        # No response at all: the server just hangs up on the client.
+        assert _read_until_closed(raw) == b""
+
+
+def test_stalled_body_gets_408_then_close(serving, monkeypatch):
+    monkeypatch.setattr(server_app, "READ_TIMEOUT", 0.2)
+    _, _, address = serving
+    with socket.create_connection(address, timeout=10) as raw:
+        raw.sendall(
+            b"POST /query HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+            b'{"node": "'
+        )
+        reply = _read_until_closed(raw)
+    assert reply.startswith(b"HTTP/1.1 408")
+    assert b"Connection: close" in reply
+
+
+def test_stalled_clients_do_not_block_other_connections(
+    serving, monkeypatch
+):
+    monkeypatch.setattr(server_app, "READ_TIMEOUT", 0.2)
+    _, prepared, address = serving
+    header_stall = socket.create_connection(address, timeout=10)
+    body_stall = socket.create_connection(address, timeout=10)
+    with header_stall, body_stall:
+        header_stall.sendall(b"POST /query HTTP/1.1\r\nHost")
+        body_stall.sendall(
+            b"POST /query HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"
+        )
+        status, payload, _ = _call(
+            address, "POST", "/query", {"node": "Databases"}
+        )
+        assert status == 200
+        assert payload["ranking"] == [
+            [node, score]
+            for node, score in prepared.run("Databases").items()
+        ]
+        assert _read_until_closed(header_stall) == b""
+        assert _read_until_closed(body_stall).startswith(b"HTTP/1.1 408")
 
 
 def test_keep_alive_connection_serves_many_requests(serving):

@@ -1,38 +1,29 @@
-"""Shared-memory round-trip parity: attached engines rank identically.
+"""Serialized engine-state parity: re-bound handles rank identically.
 
-The process-parallel serving path (PR 8) publishes the engine's state
-into a ``multiprocessing`` shared-memory segment and reconstructs it
-zero-copy on the reader side (:mod:`repro.server.shm`).  This suite is
-the correctness gate for that round trip: for **every** registered
-algorithm, a query answered through an attached session must be
-bitwise-identical to the in-process answer — same nodes, same float
-scores, same order — including after an incremental ``apply``
-re-publishes a new segment.  (Cross-*process* parity, through real
-spawn workers, is asserted by ``tests/test_server_workers.py``; this
-suite pins down the serialization layer itself.)
+This suite once gated a shared-memory publication of the engine's
+state.  That path is gone; what it shared with the warm start stays:
+the pooled-array serialization in :mod:`repro.server.snapshot`, which
+writes a session's adjacency, cached plan-DAG products, diagonals and
+column norms and rebuilds a session from them.  The contract kept here
+is the one the shared-memory readers had: **live** prepared handles —
+including RelSim's Algorithm-1 expansion variant — re-bound onto a
+restored session must answer bitwise-identically (same nodes, same
+float scores, same order) for every registered algorithm, without
+recomputing a single matrix, including after an incremental ``apply``.
+(``tests/test_server_snapshot.py`` covers the file format itself and
+freshly prepared handles on a loaded session.)
 """
 
-import numpy as np
-import pytest
-
-from repro.api.prepared import PreparedQuery
-from repro.api.service import SimilarityService
+from repro.api import SimilarityService, SimilaritySession, available_algorithms
 from repro.datasets import generate_dblp
-from repro.exceptions import SnapshotError
-from repro.server.shm import (
-    REGISTRY,
-    SHM_FORMAT,
-    attach_session,
-    publish_session,
-)
-from repro.api import available_algorithms
+from repro.server import load_session, save_snapshot
 
 TOP_K = 10
 
 #: One prepared-query spec per registered algorithm (mirrors the
 #: delta-fuzz suite), plus RelSim's Algorithm-1 expansion variant —
-#: the expanded pattern set crosses the manifest as text and must
-#: rebind without re-running expansion.
+#: its expanded pattern set must come out the same on the restored
+#: session.
 SPECS = [
     ("relsim", {"pattern": "r-a-.p-in.p-in-.r-a"}),
     (
@@ -65,114 +56,82 @@ def _queries(database, options):
     return areas[:2] + procs[:3]
 
 
-def _publish(service):
-    manifest = publish_session(service.session, service.version)
-    assert manifest["format"] == SHM_FORMAT
-    assert manifest["segment"] in REGISTRY.names()
-    return manifest
+def _prepare_all(target):
+    return [
+        target.prepare(algorithm=name, top_k=TOP_K, **options)
+        for name, options in SPECS
+    ]
 
 
-def _assert_parity(service, attached, locals_):
-    """Every spec, every query: attached ranking == in-process ranking."""
-    for (name, options), local in zip(SPECS, locals_):
-        worker = PreparedQuery.from_spec(attached.session, local.export_spec())
-        for query in _queries(service.database, options):
-            theirs = worker.run(query).items()
-            ours = local.run(query).items()
-            assert theirs == ours, (
-                "algorithm {!r} query {!r}: attached engine diverged "
-                "from in-process engine".format(name, query)
-            )
-            # Bitwise, not approximately: the worker reads the *same*
-            # buffers the parent computed, so scores must be equal as
-            # floats, not merely close.
-            assert [s for _, s in theirs] == [s for _, s in ours]
-        del worker  # release matrix views before the segment unmaps
+def _rankings(database, handles):
+    return [
+        [
+            (query, list(handle.run(query).items()))
+            for query in _queries(database, options)
+        ]
+        for (_name, options), handle in zip(SPECS, handles)
+    ]
+
+
+def _restore(source, path):
+    stats = save_snapshot(path, source)
+    assert stats["matrices"] > 0
+    restored, info = load_session(path)
+    assert info["matrices"] == stats["matrices"]
+    assert info["skipped"] == 0
+    return restored
+
+
+def _assert_parity_after_rebind(database, handles, restored):
+    """Every spec, every query: re-bound ranking == original ranking."""
+    reference = _rankings(database, handles)
+    patterns = [handle.patterns for handle in handles]
+    for handle in handles:
+        handle.rebind(restored)
+        assert handle.session is restored
+    assert [handle.patterns for handle in handles] == patterns
+    rebound = _rankings(database, handles)
+    for (name, _options), ours, theirs in zip(SPECS, reference, rebound):
+        # Bitwise, not approximately: the restored engine carries the
+        # very buffers the original computed, so scores must be equal
+        # as floats, not merely close.
+        assert theirs == ours, (
+            "algorithm {!r}: restored engine diverged from the "
+            "in-process engine".format(name)
+        )
+    assert restored.cache_info()["misses"] == 0, (
+        "re-binding recomputed matrices the restored state should carry"
+    )
 
 
 def test_specs_cover_every_registered_algorithm():
     assert {name for name, _ in SPECS} == set(available_algorithms())
 
 
-def test_attached_engine_ranks_identically_for_all_algorithms():
-    service = SimilarityService(_tiny_dblp(0))
-    locals_ = [
-        service.prepare(algorithm=name, top_k=TOP_K, **options)
-        for name, options in SPECS
-    ]
-    manifest = _publish(service)  # after warming: caches ride along
-    attached = attach_session(manifest)
-    try:
-        assert attached.version == service.version
-        assert attached.loaded["matrices"] > 0
-        assert attached.loaded["adjacency"] > 0
-        assert attached.loaded["skipped"] == 0
-        _assert_parity(service, attached, locals_)
-    finally:
-        attached.close()
-        REGISTRY.unlink(manifest["segment"])
-    assert manifest["segment"] not in REGISTRY.names()
+def test_attached_engine_ranks_identically_for_all_algorithms(tmp_path):
+    database = _tiny_dblp(0)
+    handles = _prepare_all(SimilaritySession(database))
+    # Saved after warming: the caches ride along.
+    restored = _restore(handles[0].session, str(tmp_path / "state.npz"))
+    assert restored.database.same_content(database)
+    _assert_parity_after_rebind(database, handles, restored)
 
 
-def test_attached_engine_ranks_identically_after_incremental_republish():
+def test_attached_engine_ranks_identically_after_incremental_republish(
+    tmp_path,
+):
     service = SimilarityService(_tiny_dblp(1))
-    locals_ = [
-        service.prepare(algorithm=name, top_k=TOP_K, **options)
-        for name, options in SPECS
-    ]
+    handles = _prepare_all(service)
     papers = sorted(service.database.nodes_of_type("paper"))
     procs = sorted(service.database.nodes_of_type("proc"))
     version = service.apply(
         edges_added=[(papers[0], "p-in", procs[-1])], incremental=True
     )
     assert version == 2
+    assert service.delta_stats["last_path"] == "incremental"
 
-    manifest = _publish(service)
-    assert manifest["version"] == 2
-    attached = attach_session(manifest)
-    try:
-        # The service's prepared handles are live (delta-maintained);
-        # the attached engine was rebuilt from the *post-apply* segment.
-        _assert_parity(service, attached, locals_)
-    finally:
-        attached.close()
-        REGISTRY.unlink(manifest["segment"])
-
-
-def test_attached_matrices_are_zero_copy_read_only_views():
-    service = SimilarityService(_tiny_dblp(2))
-    service.prepare(
-        algorithm="relsim", pattern="r-a-.p-in.p-in-.r-a", top_k=TOP_K
-    )
-    manifest = _publish(service)
-    attached = attach_session(manifest)
-    try:
-        engine = attached.session.engine
-        state = engine.export_cache()
-        assert state["matrices"], "attached engine lost its preload"
-        for _key, matrix in state["matrices"]:
-            # Views over the mapped segment, never copies: numpy marks
-            # a frombuffer slice as not owning its data, and the attach
-            # path freezes it read-only.
-            assert not matrix.data.flags.owndata
-            assert not matrix.data.flags.writeable
-            with pytest.raises(ValueError):
-                matrix.data[0] = np.float64(0.0)
-    finally:
-        attached.close()
-        REGISTRY.unlink(manifest["segment"])
-
-
-def test_attach_rejects_unknown_manifest_format():
-    with pytest.raises(SnapshotError):
-        attach_session({"format": SHM_FORMAT + 1, "segment": "nope"})
-    with pytest.raises(SnapshotError):
-        attach_session("not a manifest")
-
-
-def test_attach_reports_vanished_segment():
-    service = SimilarityService(_tiny_dblp(3))
-    manifest = _publish(service)
-    REGISTRY.unlink(manifest["segment"])
-    with pytest.raises(SnapshotError):
-        attach_session(manifest)
+    # The service's handles are live (delta-maintained); the restored
+    # engine is rebuilt from the *post-apply* state.
+    restored = _restore(service, str(tmp_path / "state.npz"))
+    assert restored.database.same_content(service.database)
+    _assert_parity_after_rebind(service.database, handles, restored)
