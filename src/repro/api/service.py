@@ -9,7 +9,10 @@ swap**:
 
 * the service owns the *current* :class:`~repro.api.session.SimilaritySession`
   over a private copy of the database (callers can keep mutating their
-  own object without corrupting the snapshot);
+  own object without corrupting the snapshot).  Every "private copy"
+  here, per update included, is a copy-on-write fork
+  (:meth:`~repro.graph.database.GraphDatabase.copy`): O(labels) to
+  take, and each side copies only the label dicts and rows it writes;
 * :meth:`SimilarityService.apply` (edge/node deltas) builds the next
   snapshot off the serving path — small batches **incrementally**, by
   forking the serving engine and patching its cached matrices through
@@ -323,7 +326,7 @@ class SimilarityService:
 
         Small batches (at most ``incremental_threshold`` changes) take
         the **incremental path**: the serving engine is forked onto a
-        private database copy and every cached commuting matrix,
+        copy-on-write database fork and every cached commuting matrix,
         diagonal and norm is *patched* via sparse delta propagation
         (:meth:`CommutingMatrixEngine.apply_delta`) instead of being
         recomputed, and live prepared handles re-pin only the scoring
@@ -421,7 +424,7 @@ class SimilarityService:
         return thread
 
     def _apply_incremental_locked(self, edges_added, edges_removed, nodes_added):
-        # Fork the serving engine onto a private database copy, patch
+        # Fork the serving engine onto a copy-on-write database fork, patch
         # the fork in place (old snapshot untouched — cached matrices
         # are shared but only ever *replaced* in the fork), then publish
         # through the same atomic protocol as a full rebuild.

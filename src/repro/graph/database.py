@@ -15,9 +15,13 @@ Design notes
   different labels are of course allowed.
 * Both directions are indexed so reverse traversal (``a-``) is O(1) per
   neighbor.
+* :meth:`GraphDatabase.copy` is copy-on-write: the copy shares every
+  label dict, row set and the node map with its source, and whichever
+  side writes first copies just the object it writes to.  Reads never
+  write — an absent label or row reads as empty without being created.
 """
 
-from collections import defaultdict
+from types import MappingProxyType
 
 from repro.exceptions import (
     NodeTypeConflictError,
@@ -25,6 +29,9 @@ from repro.exceptions import (
     UnknownLabelError,
     UnknownNodeError,
 )
+
+#: Read-side stand-in for an absent label: lookups on it insert nothing.
+_NO_ROWS = MappingProxyType({})
 
 
 class GraphDatabase:
@@ -41,9 +48,54 @@ class GraphDatabase:
         self._schema = schema
         self._nodes = {}
         # label -> {u -> set(v)} and the reverse orientation.
-        self._out = defaultdict(lambda: defaultdict(set))
-        self._in = defaultdict(lambda: defaultdict(set))
+        self._out = {}
+        self._in = {}
         self._edge_count = 0
+        # None until the first copy(): everything is private and mutated
+        # in place.  Afterwards, the ids of the label dicts, row sets and
+        # node map this database created since its last copy() — the
+        # only ones it may mutate (see _writable).  Ids are sound here:
+        # a shared object stays alive while held, so it can never reuse
+        # the id of an object created (and maybe freed) after the copy.
+        self._mine = None
+
+    def _writable(self, parent, key, empty):
+        """``parent[key]``, safe for this database to mutate.
+
+        Every write goes through here.  The entry is created with
+        ``empty()`` when absent.  After a :meth:`copy`, an existing
+        label dict, row set or node map may be shared with another
+        database, so the first write copies just that object and records
+        the copy as this database's own; later writes reuse it.
+        ``parent`` must itself be writable (an outer index, a label dict
+        obtained from here, or ``vars(self)`` for the node map).
+        """
+        child = parent.get(key)
+        mine = self._mine
+        if child is not None and (mine is None or id(child) in mine):
+            return child
+        child = parent[key] = empty() if child is None else child.copy()
+        if mine is not None:
+            mine.add(id(child))
+        return child
+
+    def _link(self, source, label, target):
+        """Record the edge in both orientations (it must be absent)."""
+        writable = self._writable
+        writable(writable(self._out, label, dict), source, set).add(target)
+        writable(writable(self._in, label, dict), target, set).add(source)
+
+    def _unlink(self, source, label, target):
+        """Drop the edge from both orientations (it must be present)."""
+        for index, key, value in (
+            (self._out, source, target),
+            (self._in, target, source),
+        ):
+            rows = self._writable(index, label, dict)
+            if len(rows[key]) == 1:
+                del rows[key]  # the last entry: no need to copy the row
+            else:
+                self._writable(rows, key, set).discard(value)
 
     # ------------------------------------------------------------------
     # Construction
@@ -62,11 +114,11 @@ class GraphDatabase:
         silently keeping the old type.
         """
         if node not in self._nodes:
-            self._nodes[node] = node_type
+            self._writable(vars(self), "_nodes", dict)[node] = node_type
         elif node_type is not None:
             existing = self._nodes[node]
             if existing is None:
-                self._nodes[node] = node_type
+                self._writable(vars(self), "_nodes", dict)[node] = node_type
             elif existing != node_type:
                 raise NodeTypeConflictError(node, existing, node_type)
         return node
@@ -77,10 +129,8 @@ class GraphDatabase:
             raise UnknownLabelError(label, self._schema.labels)
         self.add_node(source)
         self.add_node(target)
-        targets = self._out[label][source]
-        if target not in targets:
-            targets.add(target)
-            self._in[label][target].add(source)
+        if target not in self._out.get(label, _NO_ROWS).get(source, ()):
+            self._link(source, label, target)
             self._edge_count += 1
 
     def add_edges(self, edges):
@@ -97,24 +147,39 @@ class GraphDatabase:
         millions of edges).  Semantics are identical to repeated
         :meth:`add_edge` calls — endpoints auto-added untyped, set
         semantics on duplicates.  Returns the number of edges actually
-        added.
+        added.  The local-binding loop writes in place, so it runs only
+        on a database that was never copied; after a :meth:`copy` the
+        batch goes edge by edge through the copy-on-write path.
         """
         if label not in self._schema:
             raise UnknownLabelError(label, self._schema.labels)
+        if self._mine is not None:
+            before = self._edge_count
+            for source, target in pairs:
+                self.add_edge(source, label, target)
+            return self._edge_count - before
         nodes = self._nodes
-        out = self._out[label]
-        backward = self._in[label]
+        out = self._writable(self._out, label, dict)
+        backward = self._writable(self._in, label, dict)
         added = 0
         for source, target in pairs:
             if source not in nodes:
                 nodes[source] = None
             if target not in nodes:
                 nodes[target] = None
-            targets = out[source]
-            if target not in targets:
+            targets = out.get(source)
+            if targets is None:
+                out[source] = {target}
+            elif target in targets:
+                continue
+            else:
                 targets.add(target)
-                backward[target].add(source)
-                added += 1
+            sources = backward.get(target)
+            if sources is None:
+                backward[target] = {source}
+            else:
+                sources.add(source)
+            added += 1
         self._edge_count += added
         return added
 
@@ -125,16 +190,9 @@ class GraphDatabase:
         ``KeyError`` subclass, so existing guards keep working) when the
         edge is absent.
         """
-        targets = self._out[label].get(source)
-        if not targets or target not in targets:
+        if not self.has_edge(source, label, target):
             raise UnknownEdgeError(source, label, target)
-        targets.discard(target)
-        if not targets:
-            del self._out[label][source]
-        sources = self._in[label][target]
-        sources.discard(source)
-        if not sources:
-            del self._in[label][target]
+        self._unlink(source, label, target)
         self._edge_count -= 1
 
     def apply_delta(self, edges_added=(), edges_removed=(), nodes_added=()):
@@ -224,7 +282,7 @@ class GraphDatabase:
         """Iterate ``(source, label, target)`` triples, optionally filtered."""
         labels = [label] if label is not None else list(self._out)
         for lab in labels:
-            for source, targets in self._out[lab].items():
+            for source, targets in self._out.get(lab, _NO_ROWS).items():
                 for target in targets:
                     yield (source, lab, target)
 
@@ -234,35 +292,37 @@ class GraphDatabase:
         The bulk counterpart of :meth:`edges`: one yield per source
         instead of one per edge, so matrix construction can map a whole
         neighbor set through the node indexer at once.  The yielded sets
-        are the live internal ones — callers must not mutate them.
+        are the live internal ones and, after a :meth:`copy`, may be
+        shared with other databases (other serving snapshots) — callers
+        must not mutate them.
         """
         if label not in self._schema:
             raise UnknownLabelError(label, self._schema.labels)
-        return self._out[label].items()
+        return self._out.get(label, _NO_ROWS).items()
 
     def has_node(self, node):
         return node in self._nodes
 
     def has_edge(self, source, label, target):
-        return target in self._out[label].get(source, ())
+        return target in self._out.get(label, _NO_ROWS).get(source, ())
 
     def successors(self, node, label):
         """Nodes ``v`` with an edge ``(node, label, v)``."""
-        return set(self._out[label].get(node, ()))
+        return set(self._out.get(label, _NO_ROWS).get(node, ()))
 
     def predecessors(self, node, label):
         """Nodes ``u`` with an edge ``(u, label, node)``."""
-        return set(self._in[label].get(node, ()))
+        return set(self._in.get(label, _NO_ROWS).get(node, ()))
 
     def degree(self, node):
         """Total degree (in + out) across all labels."""
         if node not in self._nodes:
             raise UnknownNodeError(node)
-        total = 0
-        for label in self._out:
-            total += len(self._out[label].get(node, ()))
-            total += len(self._in[label].get(node, ()))
-        return total
+        return sum(
+            len(rows.get(node, ()))
+            for index in (self._out, self._in)
+            for rows in index.values()
+        )
 
     def num_nodes(self):
         return len(self._nodes)
@@ -272,7 +332,7 @@ class GraphDatabase:
 
     def used_labels(self):
         """Labels that occur on at least one edge."""
-        return {label for label in self._out if self._out[label]}
+        return {label for label, rows in self._out.items() if rows}
 
     def label_pairs(self, label):
         """The binary relation ``[[label]]_D`` as a set of ``(u, v)`` pairs."""
@@ -280,7 +340,7 @@ class GraphDatabase:
             raise UnknownLabelError(label, self._schema.labels)
         return {
             (source, target)
-            for source, targets in self._out[label].items()
+            for source, targets in self._out.get(label, _NO_ROWS).items()
             for target in targets
         }
 
@@ -288,40 +348,30 @@ class GraphDatabase:
     # Copying / comparison
     # ------------------------------------------------------------------
     def copy(self, schema=None):
-        """A deep copy, optionally re-homed onto a different schema.
+        """A copy-on-write copy, optionally re-homed onto a different schema.
 
-        Bulk-copies the internal indexes instead of replaying
-        ``add_edge`` per edge — the serving layer copies the database on
-        every live update, so this is on the update hot path.  When
-        re-homing onto a different schema, every used label is validated
-        against it (the per-edge path would have raised on the first
-        offending edge).
+        The copy gets its own outer label indexes, which share every
+        per-label adjacency dict, every row set and the node map with
+        this database — O(labels), however large the graph.  Both sides
+        are then marked shared: the first write on either side to a
+        shared label dict, row set or the node map copies only that
+        object (O(its size)), so neither side ever sees the other's
+        writes.  The serving layer copies the database on every live
+        update, which therefore costs O(delta + touched label dicts)
+        instead of O(V + E).  When re-homing onto a different schema,
+        every used label is validated against it.
         """
         if schema is not None and schema is not self._schema:
             for label in self.used_labels():
                 if label not in schema:
                     raise UnknownLabelError(label, schema.labels)
         clone = GraphDatabase(schema or self._schema)
-        clone._nodes = dict(self._nodes)
-        for label, adjacency in self._out.items():
-            if adjacency:
-                clone._out[label] = defaultdict(
-                    set,
-                    {
-                        source: set(targets)
-                        for source, targets in adjacency.items()
-                    },
-                )
-        for label, adjacency in self._in.items():
-            if adjacency:
-                clone._in[label] = defaultdict(
-                    set,
-                    {
-                        target: set(sources)
-                        for target, sources in adjacency.items()
-                    },
-                )
+        clone._nodes = self._nodes
+        clone._out = {label: rows for label, rows in self._out.items() if rows}
+        clone._in = {label: rows for label, rows in self._in.items() if rows}
         clone._edge_count = self._edge_count
+        self._mine = set()
+        clone._mine = set()
         return clone
 
     def edge_set(self):
